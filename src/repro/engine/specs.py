@@ -453,63 +453,162 @@ class SimSpec:
         memo = self.__dict__.get("_fingerprint_memo")
         if memo is not None:
             return memo
-        payload = {
-            "result_version": 3,
-            "program": self.program.encode().hex(),
-            "config": _fp_canonical(self.config if self.config is not None
-                                    else CPUConfig()),
-            "hierarchy": _fp_canonical(self.hierarchy),
-            "plugins": _fp_canonical(self.plugins),
-            "mem_writes": _canonical(self.mem_writes),
-            "mem_blobs": [[addr, bytes(data).hex()]
-                          for addr, data in self.mem_blobs],
-            "regs": _canonical(self.regs),
-            "max_cycles": self.max_cycles,
-            "seed": self.seed,
-            "record_regs": _canonical(self.record_regs),
+        # The SHA-256 input is ``json.dumps(payload, sort_keys=True,
+        # separators=(",", ":"))`` of the payload these texts spell,
+        # joined in sorted-key order (see :func:`_json_text`).
+        texts = {
+            "result_version": "3",
+            "program": _json_text(self.program.encode().hex()),
+            "config": (_DEFAULT_CONFIG_TEXT if self.config is None
+                       else _json_text(self.config)),
+            "hierarchy": _json_text(self.hierarchy),
+            "plugins": _json_text(self.plugins),
+            "mem_writes": _json_text(self.mem_writes),
+            "mem_blobs": _json_text([[addr, bytes(data).hex()]
+                                     for addr, data in self.mem_blobs]),
+            "regs": _json_text(self.regs),
+            "max_cycles": _json_text(self.max_cycles),
+            "seed": _json_text(self.seed),
+            "record_regs": _json_text(self.record_regs),
         }
         if not self.collect_stats:
-            payload["collect_stats"] = False
+            texts["collect_stats"] = "false"
         if self.trace is not None:
-            payload["trace"] = _canonical(self.trace)
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            texts["trace"] = _json_text(self.trace)
+        blob = "{" + ",".join(f'"{name}":{texts[name]}'
+                              for name in sorted(texts)) + "}"
         digest = hashlib.sha256(blob.encode()).hexdigest()
         object.__setattr__(self, "_fingerprint_memo", digest)
         return digest
 
 
-#: Memo for :func:`_fp_canonical`, keyed by the (hashable, frozen)
-#: spec component itself.  Bounded by the number of distinct configs
-#: and hierarchy geometries a process touches.
-_FP_CANONICAL_CACHE = {}
+#: Compact, key-sorted JSON text: the fingerprint's serialization.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+_INT = frozenset((int,))
+
+#: Leaf types :func:`_json_text` serializes directly, never memoized.
+_PLAIN_LEAVES = frozenset((bool, float, type(None), bytes, bytearray))
+
+#: Memo for :func:`_component_text`: :func:`_content_key` -> JSON text.
+#: Bounded by the number of distinct configs, geometries, plug-ins and
+#: trace settings a process fingerprints.
+_FP_TEXT_MEMO = {}
+
+#: Scalar types whose values key the memo as themselves (floats key by
+#: ``float.hex`` instead: ``0.0 == -0.0`` but they serialize apart).
+_KEY_SCALARS = frozenset((int, bool, str, type(None)))
+
+#: Type -> ``(serialized field names, frozen)`` for dataclasses, None
+#: for every other type.
+_DATACLASS_INFO = {}
 
 
-def _fp_canonical(obj):
-    """:func:`_canonical`, memoized for hashable spec components.
+def _dataclass_info(cls):
+    if cls not in _DATACLASS_INFO:
+        _DATACLASS_INFO[cls] = (
+            (tuple(f.name for f in dataclasses.fields(cls)
+                   if not f.name.startswith("_")),
+             cls.__dataclass_params__.frozen)
+            if dataclasses.is_dataclass(cls) else None)
+    return _DATACLASS_INFO[cls]
 
-    Trial batches re-fingerprint thousands of specs that share one
-    config and hierarchy description; canonicalizing those nested
-    dataclasses dominates the hash cost.  Cached values are shared, so
-    this variant is only for :meth:`SimSpec.fingerprint`, which
-    serializes the result without mutating it.
+
+def _json_text(obj):
+    """``_dumps(_canonical(obj))``, without re-serializing components.
+
+    Exact ints, strings and sequences are spelled directly (a compact
+    JSON array is its items' texts joined by commas); spec components
+    go through :func:`_component_text`.
     """
+    cls = type(obj)
+    if cls is int:
+        return int.__repr__(obj)
+    if cls is tuple or cls is list:
+        if _INT.issuperset(map(type, obj)):
+            return "[" + ",".join(map(int.__repr__, obj)) + "]"
+        return "[" + ",".join(map(_json_text, obj)) + "]"
+    if cls is str:
+        return _dumps(obj)
+    if cls in _PLAIN_LEAVES:
+        return _dumps(_canonical(obj))
+    return _component_text(obj, cls)
+
+
+def _component_text(obj, cls):
+    """JSON text of a spec component (dataclass, dict, enum), serialized
+    once per distinct content.
+
+    The memo key is :func:`_content_key`, which tags every value with
+    its type.  A frozen dataclass whose content is hashable (so deeply
+    immutable) also keeps its text on the instance, as
+    :meth:`SimSpec.fingerprint` keeps its digest.  A component with an
+    unhashable leaf is serialized afresh on every call.
+    """
+    info = _dataclass_info(cls)
+    instance = (getattr(obj, "__dict__", None)
+                if info is not None and info[1] else None)
+    if instance is not None and "_fp_text_memo" in instance:
+        return instance["_fp_text_memo"]
     try:
-        cached = _FP_CANONICAL_CACHE.get(obj)
-    except TypeError:           # unhashable (mutable config, dict kwarg)
-        return _canonical(obj)
-    if cached is None:
-        cached = _canonical(obj)
-        _FP_CANONICAL_CACHE[obj] = cached
-    return cached
+        key = _content_key(obj)
+        text = _FP_TEXT_MEMO.get(key)
+    except TypeError:
+        return _dumps(_canonical(obj))
+    if text is None:
+        text = _FP_TEXT_MEMO[key] = _dumps(_canonical(obj))
+    if instance is not None:
+        try:
+            hash(obj)
+        except TypeError:
+            return text
+        instance["_fp_text_memo"] = text
+    return text
+
+
+def _content_key(obj):
+    """Hashable key naming ``obj``'s content *and* every value's type.
+
+    Equality alone is too coarse a key for serialized text:
+    ``True == 1 == 1.0`` and ``0.0 == -0.0`` all serialize differently.
+    Raises ``TypeError`` when some leaf is unhashable.
+    """
+    cls = type(obj)
+    if cls in _KEY_SCALARS:
+        return cls, obj
+    info = _dataclass_info(cls)
+    if info is not None:
+        values = tuple(map(obj.__getattribute__, info[0]))
+    elif isinstance(obj, (tuple, list)):
+        values = tuple(obj)
+    elif isinstance(obj, dict):
+        return cls, tuple((_content_key(key), _content_key(value))
+                          for key, value in sorted(obj.items()))
+    elif isinstance(obj, float):
+        return cls, obj.hex()
+    else:
+        return cls, obj
+    types = tuple(map(type, values))
+    if not _KEY_SCALARS.issuperset(types):
+        values = tuple([value if kind in _KEY_SCALARS
+                        else _content_key(value)
+                        for value, kind in zip(values, types)])
+    return cls, values, types
 
 
 def _canonical(obj):
     """Canonical JSON-able form for fingerprinting nested specs."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        fields = {f.name: _canonical(getattr(obj, f.name))
-                  for f in dataclasses.fields(obj)
-                  if not f.name.startswith("_")}
-        return {"__type__": type(obj).__name__, **fields}
+    cls = type(obj)
+    if cls is int:
+        return obj
+    if cls is tuple:
+        return [item if type(item) is int else _canonical(item)
+                for item in obj]
+    info = _dataclass_info(cls)
+    if info is not None:
+        fields = {name: _canonical(getattr(obj, name))
+                  for name in info[0]}
+        return {"__type__": cls.__name__, **fields}
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, dict):
@@ -521,6 +620,10 @@ def _canonical(obj):
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     raise SpecError(f"cannot fingerprint {type(obj).__name__}: {obj!r}")
+
+
+#: The ``config`` text of a spec that leaves the config at its default.
+_DEFAULT_CONFIG_TEXT = _dumps(_canonical(CPUConfig()))
 
 
 def _spec_types():

@@ -86,6 +86,7 @@ class Program:
         self.public_regions = normalize_regions(public_regions, ".public")
         for inst in instructions:
             inst.intern_key()
+        self._encoded = None
 
     def __len__(self):
         return len(self.instructions)
@@ -104,18 +105,21 @@ class Program:
         the experiment engine to content-address simulations.  Taint
         directives append ``.secret,start,end`` / ``.public,start,end``
         records *after* the instruction stream — absent directives the
-        encoding is byte-identical to historical builds.
+        encoding is byte-identical to historical builds.  Programs are
+        immutable, so the encoding is computed once per program.
         """
-        records = []
-        for inst in self.instructions:
-            target = -1 if inst.target is None else int(inst.target)
-            records.append(f"{inst.op.value},{inst.rd},{inst.rs1},"
-                           f"{inst.rs2},{inst.imm},{inst.width},{target}")
+        if self._encoded is not None:
+            return self._encoded
+        records = [
+            f"{inst.op._value_},{inst.rd},{inst.rs1},{inst.rs2},{inst.imm},"
+            f"{inst.width},{-1 if inst.target is None else int(inst.target)}"
+            for inst in self.instructions]
         for start, end in self.secret_regions:
             records.append(f".secret,{start},{end}")
         for start, end in self.public_regions:
             records.append(f".public,{start},{end}")
-        return "\n".join(records).encode()
+        self._encoded = "\n".join(records).encode()
+        return self._encoded
 
     def listing(self):
         """Human-readable disassembly, one line per instruction."""

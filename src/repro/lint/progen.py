@@ -58,6 +58,11 @@ ARRAY_ADDR = 0x200
 _PUBLIC_CONSTS = (5, 9, 21, 37, 51)
 
 
+#: The geometry of a case that leaves it at the default: one shared
+#: (frozen) instance, so its fingerprint text is memoized once.
+_DEFAULT_HIERARCHY = HierarchySpec()
+
+
 @dataclass(frozen=True)
 class GeneratedCase:
     """One generated synthesis trial, independent of any plug-in."""
@@ -83,7 +88,7 @@ class GeneratedCase:
         return SimSpec(
             program=self.program, plugins=tuple(plugins),
             hierarchy=self.hierarchy if self.hierarchy is not None
-            else HierarchySpec(),
+            else _DEFAULT_HIERARCHY,
             mem_writes=self.mem_writes, mem_blobs=self.mem_blobs,
             regs=self.regs, taint=self.taint,
             max_cycles=self.max_cycles, seed=seed,

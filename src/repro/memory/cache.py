@@ -7,6 +7,7 @@ the observable outcomes (Figure 2, Example 3).
 """
 
 import random
+from collections import defaultdict
 
 
 class ReplacementPolicy:
@@ -37,10 +38,12 @@ class Cache:
         self.ways = ways
         self.line_size = line_size
         self.policy = policy
-        self._rng = random.Random(seed)
+        self._seed = seed
+        self._rng = None        # seeded on the first random eviction
         # Each set is a list of tags; for LRU the most recently used tag is
-        # last, for FIFO the oldest inserted is first.
-        self._sets = [[] for _ in range(num_sets)]
+        # last, for FIFO the oldest inserted is first.  Sets are created
+        # on first touch, so a fresh cache costs no per-set allocation.
+        self._sets = defaultdict(list)
         self.stats = {"hits": 0, "misses": 0, "evictions": 0}
 
     @property
@@ -90,6 +93,8 @@ class Cache:
         evicted = None
         if len(tags) >= self.ways:
             if self.policy == ReplacementPolicy.RANDOM:
+                if self._rng is None:
+                    self._rng = random.Random(self._seed)
                 victim = self._rng.randrange(len(tags))
             else:
                 victim = 0  # LRU and FIFO both evict the head.
@@ -115,12 +120,12 @@ class Cache:
 
     def flush(self):
         """Empty the whole cache."""
-        self._sets = [[] for _ in range(self.num_sets)]
+        self._sets = defaultdict(list)
 
     def resident_lines(self):
         """All resident line addresses (for tests and attack tooling)."""
         lines = []
-        for index, tags in enumerate(self._sets):
+        for index, tags in sorted(self._sets.items()):
             for tag in tags:
                 lines.append((tag * self.num_sets + index) * self.line_size)
         return lines

@@ -66,6 +66,7 @@ Wall-clock-ish quantities live caller-side, like the engine's batch
 telemetry.
 """
 
+import weakref
 from bisect import insort
 from operator import attrgetter
 
@@ -84,6 +85,11 @@ _SEQ = attrgetter("seq")
 #: Process-wide decoded-template cache, keyed by the interned operand
 #: tuple.  Bounded by the number of distinct static instructions.
 _TEMPLATE_CACHE = {}
+
+#: Per-program template lists (one :class:`InstTemplate` per pc).
+#: Programs are immutable, so a program shared by many trials decodes
+#: once per process instead of once per core.
+_PROGRAM_TEMPLATES = weakref.WeakKeyDictionary()
 
 #: Free-list pool ceiling per core; beyond this, retired DynInsts go to
 #: the garbage collector like in the reference core.
@@ -190,7 +196,11 @@ class FastPathCPU(CPU):
         super().__init__(program, hierarchy, config=config,
                          plugins=list(plugins) + [_PoolRecycler()],
                          metrics=metrics, trace=trace)
-        self._templates = [self._template_for(inst) for inst in program]
+        templates = _PROGRAM_TEMPLATES.get(program)
+        if templates is None:
+            templates = _PROGRAM_TEMPLATES[program] = [
+                self._template_for(inst) for inst in program]
+        self._templates = templates
         # Plug-ins whose end_of_cycle is the base-class no-op can be
         # skipped without any behaviour change (it returns 0 ports).
         self._eoc_plugins = [
