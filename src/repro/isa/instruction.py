@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass, field
 
-from repro.isa.opcodes import Op, is_branch, is_load, is_store
+from repro.isa.opcodes import Op, is_branch
 
 #: Process-wide intern table for operand tuples.  Programs are tiny
 #: (static instructions, not dynamic ones), so this is bounded by the
@@ -43,11 +43,11 @@ class Instruction:
 
     @property
     def is_load(self):
-        return is_load(self.op)
+        return self.op is Op.LOAD
 
     @property
     def is_store(self):
-        return is_store(self.op)
+        return self.op is Op.STORE
 
     @property
     def is_branch(self):

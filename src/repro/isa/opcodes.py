@@ -54,6 +54,11 @@ class Op(enum.Enum):
     NOP = "nop"
     HALT = "halt"
 
+    # Members are singletons, so identity hashing is exact; it replaces
+    # ``Enum.__hash__`` (a Python-level call hashing the member name) on
+    # every set-membership test and dict lookup keyed by an opcode.
+    __hash__ = object.__hash__
+
 
 #: Register-register ALU ops (single cycle on the baseline machine).
 ALU_RR_OPS = frozenset({

@@ -32,11 +32,17 @@ from repro.pipeline.config import CPUConfig
 from repro.pipeline.dyninst import (
     DynInst, InstState, LQEntry, SilentState, SQEntry,
 )
+from repro.pipeline.plugins import hook_lists
 from repro.stats import NULL_STATS
 from repro.trace.buffer import NULL_TRACE
 
 NUM_ARCH_REGS = 32
 SILENT_DEQUEUE_WIDTH = 4  # consecutive silent stores retired per cycle
+
+#: Construction templates, copied per core: the initial rename map and,
+#: per PRF size, the initial free list.
+_IDENTITY_MAP = list(range(NUM_ARCH_REGS))
+_FREE_LISTS = {}
 
 
 class SimulationError(Exception):
@@ -106,10 +112,21 @@ class CPU:
         self.memory = hierarchy.memory
         self.config = config if config is not None else CPUConfig()
         self.plugins = list(plugins)
+        # One tuple per hook (in ``plugins.HOOKS`` order), holding only
+        # the plug-ins whose class overrides it (see ``hook_lists``).
+        (self._on_dispatch_plugins, self._provide_phys_reg_plugins,
+         self._reclaim_phys_reg_plugins, self._execute_latency_plugins,
+         self._lookup_reuse_plugins, self._pack_pair_plugins,
+         self._on_result_plugins, self._on_commit_plugins,
+         self._on_load_response_plugins,
+         self._on_store_address_resolved_plugins,
+         self._on_store_performed_plugins,
+         self._end_of_cycle_plugins) = hook_lists(self.plugins)
         self.stats = CPUStats()
         self.metrics = metrics if metrics is not None else NULL_STATS
         self.trace = NULL_TRACE
-        self.install_trace(trace if trace is not None else NULL_TRACE)
+        if trace is not None:
+            self.install_trace(trace)
         self.branch_predictor = BranchPredictor(self.config.use_branch_predictor)
 
         # Physical register file.  Plug-ins may carve extra hidden pregs
@@ -117,8 +134,12 @@ class CPU:
         total_pregs = self.config.num_phys_regs
         self.prf_value = [0] * total_pregs
         self.prf_ready = [True] * total_pregs
-        self.rename_map = list(range(NUM_ARCH_REGS))
-        self.free_list = deque(range(NUM_ARCH_REGS, self.config.num_phys_regs))
+        self.rename_map = _IDENTITY_MAP.copy()
+        free_list = _FREE_LISTS.get(total_pregs)
+        if free_list is None:
+            free_list = _FREE_LISTS[total_pregs] = deque(
+                range(NUM_ARCH_REGS, total_pregs))
+        self.free_list = free_list.copy()
         self.arch_version = [0] * NUM_ARCH_REGS
 
         # Windows and queues.
@@ -318,7 +339,7 @@ class CPU:
         self.fetching_halted = False
 
     def _free_preg(self, preg):
-        for plugin in self.plugins:
+        for plugin in self._reclaim_phys_reg_plugins:
             if plugin.reclaim_phys_reg(preg):
                 return
         self.free_list.append(preg)
@@ -333,7 +354,8 @@ class CPU:
             dyn = self.rob[0]
             if dyn.state is not InstState.DONE:
                 break
-            if dyn.inst.op is Op.HALT and self.store_queue:
+            op = dyn.inst.op
+            if op is Op.HALT and self.store_queue:
                 break  # drain outstanding stores before halting
             self.rob.popleft()
             dyn.state = InstState.COMMITTED
@@ -342,17 +364,17 @@ class CPU:
             if self.trace.enabled:
                 self.trace.emit("inst", "retire", cycle=self.cycle,
                                 seq=dyn.seq, pc=dyn.pc)
-            for plugin in self.plugins:
+            for plugin in self._on_commit_plugins:
                 plugin.on_commit(dyn)
             if dyn.pdst is not None and dyn.old_pdst is not None:
                 self._free_preg(dyn.old_pdst)
-            if dyn.inst.is_store:
+            if op is Op.STORE:
                 for entry in self.store_queue:
                     if entry.dyn is dyn:
                         entry.committed = True
                         entry.committed_cycle = self.cycle
                         break
-            elif dyn.inst.is_load:
+            elif op is Op.LOAD:
                 for index, entry in enumerate(self.load_queue):
                     if entry.dyn is dyn:
                         del self.load_queue[index]
@@ -361,11 +383,11 @@ class CPU:
                         # Forwarded loads never reached the memory
                         # system, so they stay invisible.
                         if not entry.forwarded:
-                            for plugin in self.plugins:
+                            for plugin in self._on_load_response_plugins:
                                 plugin.on_load_response(
                                     dyn, entry.addr, dyn.result)
                         break
-            if dyn.inst.op is Op.HALT:
+            if op is Op.HALT:
                 self.halted = True
                 return
 
@@ -422,7 +444,7 @@ class CPU:
                                     cycle=self.cycle, seq=head.dyn.seq,
                                     pc=head.dyn.pc, addr=head.addr)
                 self.store_queue.pop(0)
-                for plugin in self.plugins:
+                for plugin in self._on_store_performed_plugins:
                     plugin.on_store_performed(head)
                 continue
             # Non-silent (or not-yet-decided) store: needs its line in L1.
@@ -482,7 +504,7 @@ class CPU:
                                 seq=head.dyn.seq, pc=head.dyn.pc,
                                 addr=head.addr, info=head.silent.value)
             self.store_queue.pop(0)
-            for plugin in self.plugins:
+            for plugin in self._on_store_performed_plugins:
                 plugin.on_store_performed(head)
             break  # one memory write port per cycle
 
@@ -581,48 +603,50 @@ class CPU:
 
     def _find_pack_partner(self, dyn, issued_alu_ops, packed_partners):
         """Operand packing: find an already-issued ALU op to share a slot."""
-        if not self.plugins or not is_alu(dyn.inst.op):
+        if not self._pack_pair_plugins or not is_alu(dyn.inst.op):
             return None
         for partner in issued_alu_ops:
             if id(partner) in packed_partners:
                 continue
             if not is_alu(partner.inst.op):
                 continue
-            for plugin in self.plugins:
+            for plugin in self._pack_pair_plugins:
                 if plugin.pack_pair(partner, dyn):
                     return partner
         return None
 
     def _issue_arith(self, dyn, latency, busy_until):
-        """Issue a multiply/divide; returns False when all units are busy."""
-        hit = False
-        for plugin in self.plugins:
+        """Issue a multiply/divide; returns False when all units are busy.
+
+        The result is computed only once the op issues (a reuse hit or
+        a granted unit): it is a pure function of the operands captured
+        at scan time, so a retry while every unit is busy need not pay
+        for it.
+        """
+        for plugin in self._lookup_reuse_plugins:
             if plugin.lookup_reuse(dyn):
-                hit = True
+                dyn.reused = True
+                self.stats.reuse_hits += 1
+                value = self._compute_result(dyn)
+                self.schedule(1, lambda d=dyn, v=value: self._writeback(d, v))
+                return True
+        cycle = self.cycle
+        for unit_index, until in enumerate(busy_until):
+            if until <= cycle:
                 break
-        value = self._compute_result(dyn)
-        if hit:
-            dyn.reused = True
-            self.stats.reuse_hits += 1
-            self.schedule(1, lambda d=dyn, v=value: self._writeback(d, v))
-            return True
-        unit_index = None
-        for index, until in enumerate(busy_until):
-            if until <= self.cycle:
-                unit_index = index
-                break
-        if unit_index is None:
+        else:
             return False
-        for plugin in self.plugins:
+        value = self._compute_result(dyn)
+        for plugin in self._execute_latency_plugins:
             latency = plugin.execute_latency(dyn, latency)
-        busy_until[unit_index] = self.cycle + latency
+        busy_until[unit_index] = cycle + latency
         self.schedule(latency, lambda d=dyn, v=value: self._writeback(d, v))
         return True
 
     def _issue_alu(self, dyn):
         op = dyn.inst.op
         latency = self.config.latency_alu
-        for plugin in self.plugins:
+        for plugin in self._execute_latency_plugins:
             latency = plugin.execute_latency(dyn, latency)
         if is_branch(op):
             self.schedule(latency, lambda d=dyn: self._resolve_branch(d))
@@ -631,7 +655,7 @@ class CPU:
             value = mask(self.cycle)
         else:
             hit = False
-            for plugin in self.plugins:
+            for plugin in self._lookup_reuse_plugins:
                 if plugin.lookup_reuse(dyn):
                     hit = True
                     break
@@ -662,7 +686,7 @@ class CPU:
                     self.trace.emit("sq", "address_resolved",
                                     cycle=self.cycle, seq=dyn.seq,
                                     pc=dyn.pc, addr=addr)
-                for plugin in self.plugins:
+                for plugin in self._on_store_address_resolved_plugins:
                     plugin.on_store_address_resolved(entry)
                 return
 
@@ -728,7 +752,7 @@ class CPU:
         if self.trace.enabled:
             self.trace.emit("inst", "complete", cycle=self.cycle,
                             seq=dyn.seq, pc=dyn.pc)
-        for plugin in self.plugins:
+        for plugin in self._on_result_plugins:
             plugin.on_result(dyn, value)
         if dyn.vp_predicted and value != dyn.vp_value:
             self.stats.vp_squashes += 1
@@ -802,7 +826,7 @@ class CPU:
                 if self.free_list:
                     pdst = self.free_list.popleft()
                 else:
-                    for plugin in self.plugins:
+                    for plugin in self._provide_phys_reg_plugins:
                         pdst = plugin.provide_phys_reg()
                         if pdst is not None:
                             break
@@ -837,7 +861,7 @@ class CPU:
                 self.load_queue.append(LQEntry(dyn))
             if is_store(op):
                 self.store_queue.append(SQEntry(dyn))
-            for plugin in self.plugins:
+            for plugin in self._on_dispatch_plugins:
                 plugin.on_dispatch(dyn)
             self.stats.dispatched += 1
             count += 1
@@ -883,11 +907,15 @@ class CPU:
     # ------------------------------------------------------------------
 
     def _plugins_end_of_cycle(self):
-        free_ports = max(0, self.ports["load"])
-        for plugin in self.plugins:
+        plugins = self._end_of_cycle_plugins
+        if not plugins:
+            return
+        ports = self.ports
+        free_ports = max(0, ports["load"])
+        for plugin in plugins:
             used = plugin.end_of_cycle(free_ports)
             used = used or 0
-            self.ports["load"] = max(0, self.ports["load"] - used)
+            ports["load"] = max(0, ports["load"] - used)
             free_ports = max(0, free_ports - used)
 
     # ------------------------------------------------------------------

@@ -24,6 +24,11 @@ Hook                             Used by
                                  (prefetch state machine)
 ===============================  =============================================
 
+A core dispatches each hook only to the plug-ins whose *class* overrides
+it (the base hooks are no-ops returning the neutral value, so skipping
+them changes nothing).  Overrides are detected per class when the core
+is built: a hook assigned on an *instance* afterwards is never called.
+
 Fast-forward contract
 ---------------------
 
@@ -49,10 +54,57 @@ is safe around it via ``ff_policy``:
     the "disabled" arm of the fast-path's disabled-or-exact guarantee.
 """
 
+from operator import itemgetter
+
 #: ``ff_policy`` values (see the module docstring).
 FF_PURE = "pure"
 FF_WAKEUP = "wakeup"
 FF_EVERY_CYCLE = "every-cycle"
+
+#: The per-event hooks a core dispatches (see the module docstring).
+HOOKS = (
+    "on_dispatch", "provide_phys_reg", "reclaim_phys_reg",
+    "execute_latency", "lookup_reuse", "pack_pair", "on_result",
+    "on_commit", "on_load_response", "on_store_address_resolved",
+    "on_store_performed", "end_of_cycle",
+)
+
+#: Plug-in class tuple -> ``(position, getter, single)`` for every hook
+#: some plug-in class overrides; ``getter`` picks those plug-ins out of
+#: the core's plug-in list.  Bounded by the distinct plug-in mixes.
+_HOOK_LAYOUTS = {}
+
+#: Every hook's list when no plug-in overrides it (shared, immutable).
+_NO_HOOKS = ((),) * len(HOOKS)
+
+
+def _hook_layout(classes):
+    layout = []
+    for position, hook in enumerate(HOOKS):
+        base = getattr(OptimizationPlugin, hook)
+        indices = [index for index, cls in enumerate(classes)
+                   if getattr(cls, hook) is not base]
+        if indices:
+            layout.append((position, itemgetter(*indices),
+                           len(indices) == 1))
+    return tuple(layout)
+
+
+def hook_lists(plugins):
+    """Per hook in :data:`HOOKS`, the plug-ins (in order) overriding it.
+
+    The override analysis is cached per tuple of plug-in classes, so a
+    core pays one dict probe plus one tuple per *overridden* hook; every
+    hook nobody overrides shares one empty tuple.
+    """
+    classes = tuple(map(type, plugins))
+    layout = _HOOK_LAYOUTS.get(classes)
+    if layout is None:
+        layout = _HOOK_LAYOUTS[classes] = _hook_layout(classes)
+    lists = list(_NO_HOOKS)
+    for position, getter, single in layout:
+        lists[position] = (getter(plugins),) if single else getter(plugins)
+    return lists
 
 
 class OptimizationPlugin:
