@@ -39,16 +39,14 @@ class RecordingMemory(FlatMemory):
         super().write(addr, value, width)
 
 
-@st.composite
-def random_bpf_programs(draw):
+#: One generator step: ``(kind, rd, rs, imm, array)``.
+STEP_KINDS = ("mov_imm", "add_imm", "lookup", "checked_load",
+              "unchecked_load", "jeq_skip")
+
+
+def program_from_steps(steps):
+    """Build the program a list of generator steps describes."""
     program = BpfProgram(arrays=ARRAYS)
-    steps = draw(st.lists(st.tuples(
-        st.sampled_from(("mov_imm", "add_imm", "lookup", "checked_load",
-                         "unchecked_load", "jeq_skip")),
-        st.integers(0, 5),                    # rd
-        st.integers(0, 5),                    # rs
-        st.integers(-4, 12),                  # imm
-        st.sampled_from(("A", "B"))), min_size=1, max_size=12))
     skip_counter = 0
     for kind, rd, rs, imm, array in steps:
         if kind == "mov_imm":
@@ -77,6 +75,16 @@ def random_bpf_programs(draw):
             program.label(label)
     program.exit()
     return program
+
+
+@st.composite
+def random_bpf_programs(draw):
+    return program_from_steps(draw(st.lists(st.tuples(
+        st.sampled_from(STEP_KINDS),
+        st.integers(0, 5),                    # rd
+        st.integers(0, 5),                    # rs
+        st.integers(-4, 12),                  # imm
+        st.sampled_from(("A", "B"))), min_size=1, max_size=12)))
 
 
 @settings(max_examples=150, deadline=None)
