@@ -38,6 +38,13 @@ class Cache:
         self.ways = ways
         self.line_size = line_size
         self.policy = policy
+        # The geometry as shifts and masks, the one source every method
+        # derives set and tag from.  ``>>`` and ``&`` floor exactly like
+        # ``//`` and ``%``, negative addresses included.
+        self._line_shift = line_size.bit_length() - 1
+        self._set_mask = num_sets - 1
+        self._tag_shift = self._line_shift + num_sets.bit_length() - 1
+        self._lru = policy == ReplacementPolicy.LRU
         self._seed = seed
         self._rng = None        # seeded on the first random eviction
         # Each set is a list of tags; for LRU the most recently used tag is
@@ -56,34 +63,46 @@ class Cache:
 
     def set_index(self, addr):
         """The set that ``addr`` maps to."""
-        return (addr // self.line_size) % self.num_sets
+        return (addr >> self._line_shift) & self._set_mask
 
     def tag_of(self, addr):
-        return addr // self.line_size // self.num_sets
+        return addr >> self._tag_shift
 
     def contains(self, addr):
         """Presence check with no replacement-state side effects."""
-        return self.tag_of(addr) in self._sets[self.set_index(addr)]
+        return (addr >> self._tag_shift) in self._sets[
+            (addr >> self._line_shift) & self._set_mask]
+
+    def lookup(self, addr):
+        """Presence check that promotes a resident line for LRU.
+
+        ``contains`` followed by ``touch`` in one pass; like them it
+        counts nothing in :attr:`stats`.
+        """
+        tags = self._sets[(addr >> self._line_shift) & self._set_mask]
+        tag = addr >> self._tag_shift
+        if tag not in tags:
+            return False
+        if self._lru and tags[-1] != tag:
+            tags.remove(tag)
+            tags.append(tag)
+        return True
 
     def touch(self, addr):
         """Promote ``addr``'s line for LRU purposes if resident."""
-        tags = self._sets[self.set_index(addr)]
-        tag = self.tag_of(addr)
-        if tag in tags and self.policy == ReplacementPolicy.LRU:
-            tags.remove(tag)
-            tags.append(tag)
+        self.lookup(addr)
 
     def access(self, addr, fill=True):
         """Look up ``addr``; on a miss optionally fill its line.
 
         Returns ``(hit, evicted_line_addr_or_None)``.
         """
-        index = self.set_index(addr)
+        index = (addr >> self._line_shift) & self._set_mask
         tags = self._sets[index]
-        tag = self.tag_of(addr)
+        tag = addr >> self._tag_shift
         if tag in tags:
             self.stats["hits"] += 1
-            if self.policy == ReplacementPolicy.LRU:
+            if self._lru:
                 tags.remove(tag)
                 tags.append(tag)
             return True, None
@@ -99,15 +118,11 @@ class Cache:
             else:
                 victim = 0  # LRU and FIFO both evict the head.
             evicted_tag = tags.pop(victim)
-            evicted = (evicted_tag * self.num_sets + index) * self.line_size
+            evicted = ((evicted_tag << self._tag_shift)
+                       + (index << self._line_shift))
             self.stats["evictions"] += 1
         tags.append(tag)
         return False, evicted
-
-    def fill_line(self, addr):
-        """Install ``addr``'s line (used for prefetch and write fills)."""
-        hit, evicted = self.access(addr, fill=True)
-        return evicted if not hit else None
 
     def invalidate(self, addr):
         """Remove ``addr``'s line if resident; returns True if removed."""
@@ -127,7 +142,8 @@ class Cache:
         lines = []
         for index, tags in sorted(self._sets.items()):
             for tag in tags:
-                lines.append((tag * self.num_sets + index) * self.line_size)
+                lines.append((tag << self._tag_shift)
+                             + (index << self._line_shift))
         return lines
 
     def set_occupancy(self, index):

@@ -109,7 +109,10 @@ class MemoryHierarchy:
         self.epoch += 1
         self.stats["reads"] += 1
         value = self.memory.read(addr, width)
-        latency, level = self._access_for_latency(addr, fill)
+        if self.tlb is None:
+            latency, level = self._cache_access(addr, fill)
+        else:
+            latency, level = self._access_for_latency(addr, fill)
         return value, latency, level
 
     def access_latency(self, addr, fill=True):
@@ -133,21 +136,25 @@ class MemoryHierarchy:
         return translation + latency, level
 
     def _fill_l1(self, addr):
-        evicted = self.l1.fill_line(addr)
+        evicted = self.l1.access(addr)[1]
         if evicted is not None and self.trace.enabled:
             self.trace.emit("mem", "l1_evict", addr=evicted)
 
     def _fill_l2(self, addr):
-        evicted = self.l2.fill_line(addr)
+        evicted = self.l2.access(addr)[1]
         if evicted is not None and self.trace.enabled:
             self.trace.emit("mem", "l2_evict", addr=evicted)
 
     def _cache_access(self, addr, fill):
+        """Find ``addr``'s level and fill on the way; ``(latency, level)``.
+
+        :meth:`Cache.lookup` tests presence and promotes a resident line
+        in one pass, so each level computes set and tag once.
+        """
         lat = self.latencies
         metrics_on = self.metrics.enabled
         trace_on = self.trace.enabled
-        if self.l1.contains(addr):
-            self.l1.touch(addr)
+        if self.l1.lookup(addr):
             self.stats["l1_hits"] += 1
             if metrics_on:
                 self.metrics.inc("mem.l1.hits")
@@ -156,11 +163,11 @@ class MemoryHierarchy:
             return lat.l1_hit, "l1"
         if metrics_on:
             self.metrics.inc("mem.l1.misses")
-        line = self.l1.line_of(addr)
-        if line in self._prefetch_buffer:
+        buffer = self._prefetch_buffer
+        if buffer and self.l1.line_of(addr) in buffer:
             # Promote from the prefetch buffer into L1.
             self.stats["prefetch_buffer_hits"] += 1
-            self._prefetch_buffer.remove(line)
+            buffer.remove(self.l1.line_of(addr))
             if fill:
                 self._fill_l1(addr)
             if metrics_on:
@@ -171,8 +178,8 @@ class MemoryHierarchy:
                 self.trace.emit("mem", "pb_hit", addr=addr,
                                 info=f"latency={lat.l1_hit + 1}")
             return lat.l1_hit + 1, "pb"
-        if self.l2 is not None and self.l2.contains(addr):
-            self.l2.touch(addr)
+        l2 = self.l2
+        if l2 is not None and l2.lookup(addr):
             self.stats["l2_hits"] += 1
             if fill:
                 self._fill_l1(addr)
@@ -186,12 +193,12 @@ class MemoryHierarchy:
             return lat.l2_hit, "l2"
         self.stats["memory_accesses"] += 1
         if fill:
-            if self.l2 is not None:
+            if l2 is not None:
                 self._fill_l2(addr)
             self._fill_l1(addr)
         latency = lat.memory_latency()
         if metrics_on:
-            if self.l2 is not None:
+            if l2 is not None:
                 self.metrics.inc("mem.l2.misses")
             self.metrics.inc("mem.dram.accesses")
             self.metrics.observe("mem.miss_latency", latency, bin_width=8)
