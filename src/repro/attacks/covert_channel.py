@@ -28,40 +28,52 @@ class PrimeProbeReceiver:
     def __init__(self, hierarchy, buffer_base, cache=None):
         self.hierarchy = hierarchy
         self.cache = cache if cache is not None else hierarchy.l1
-        span = self.cache.num_sets * self.cache.line_size
-        if buffer_base % span:
+        #: Address distance between consecutive ways of one set.
+        self.stride = self.cache.num_sets * self.cache.line_size
+        if buffer_base % self.stride:
             raise ValueError(
                 f"buffer_base {buffer_base:#x} must be aligned to "
-                f"{span:#x}")
+                f"{self.stride:#x}")
         self.buffer_base = buffer_base
         #: Latency above which a probe access counts as a miss.
         self.miss_threshold = hierarchy.latencies.l1_hit
 
     def way_address(self, set_index, way):
         """Attacker-buffer address mapping to ``set_index`` (one per way)."""
-        stride = self.cache.num_sets * self.cache.line_size
         return (self.buffer_base + set_index * self.cache.line_size
-                + way * stride)
+                + way * self.stride)
+
+    # ``prime`` and ``probe`` walk the ``way_address`` sequence inline,
+    # stepping by ``stride``: they run once per leak attempt over every
+    # set, so a helper call per way would dominate the receiver's cost.
 
     def prime(self, target_sets=None):
         """Fill every target set with the attacker's own lines."""
         if target_sets is None:
             target_sets = range(self.cache.num_sets)
+        read = self.hierarchy.read
+        base, line_size = self.buffer_base, self.cache.line_size
+        stride, ways = self.stride, range(self.cache.ways)
         for set_index in target_sets:
-            for way in range(self.cache.ways):
-                self.hierarchy.read(self.way_address(set_index, way))
+            addr = base + set_index * line_size
+            for _ in ways:
+                read(addr)
+                addr += stride
 
     def probe(self, target_sets=None):
         """Re-access primed lines; returns ``{set_index: total_latency}``."""
         if target_sets is None:
             target_sets = range(self.cache.num_sets)
+        read = self.hierarchy.read
+        base, line_size = self.buffer_base, self.cache.line_size
+        stride, ways = self.stride, range(self.cache.ways)
         latencies = {}
         for set_index in target_sets:
+            addr = base + set_index * line_size
             total = 0
-            for way in range(self.cache.ways):
-                _value, latency, _level = self.hierarchy.read(
-                    self.way_address(set_index, way))
-                total += latency
+            for _ in ways:
+                total += read(addr)[1]
+                addr += stride
             latencies[set_index] = total
         return latencies
 
