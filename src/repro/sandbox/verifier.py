@@ -19,7 +19,7 @@ loops terminate the walk; anything that exceeds the state budget is
 rejected as too complex, as real eBPF does).
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.sandbox.ebpf import (
     ALU_IMM_OPS, ALU_REG_OPS, BpfOp, BRANCH_OPS, NUM_BPF_REGS,
@@ -30,9 +30,13 @@ class VerifierError(Exception):
     """Program rejected; the message states the offending pc and rule."""
 
 
-@dataclass(frozen=True)
-class RegState:
-    """Abstract value of one register."""
+class RegState(NamedTuple):
+    """Abstract value of one register.
+
+    A named tuple, so the ``(pc, regs)`` keys of the explored-state set
+    hash and compare in C rather than through a Python ``__hash__``
+    call per register.
+    """
 
     kind: str                 # "scalar" | "ptr" | "maybe_null"
     array: str = ""
@@ -97,7 +101,8 @@ class Verifier:
         seen = set()
         while worklist:
             pc, regs, via_back_edge = worklist.pop()
-            if (pc, regs) in seen:
+            state = (pc, regs)
+            if state in seen:
                 if via_back_edge:
                     # A back-edge reached an abstract state we have
                     # already been in: the verifier cannot prove the
@@ -105,7 +110,7 @@ class Verifier:
                     raise VerifierError(
                         f"pc {pc}: cannot prove loop termination")
                 continue
-            seen.add((pc, regs))
+            seen.add(state)
             explored += 1
             if explored > self.state_budget:
                 raise VerifierError(
