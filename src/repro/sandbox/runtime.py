@@ -50,23 +50,32 @@ class SandboxRuntime:
     # ------------------------------------------------------------------
 
     def load_program(self, program):
-        """Verify, lay out arrays, and JIT.  Raises VerifierError on
-        rejection — nothing is laid out for rejected programs."""
-        self.verifier_states = self.verifier.verify(program)
-        self.program = program
+        """Verify, lay out arrays, and JIT.
+
+        Raises :class:`VerifierError` when the verifier rejects the
+        program and :class:`SandboxError` when an array does not fit in
+        memory.  A rejected program changes nothing: the runtime keeps
+        the program, layout and machine code it had before.
+        """
+        states = self.verifier.verify(program)
         cursor = self.sandbox_base
-        self.layout = {}
+        layout = {}
         for array in program.arrays.values():
             cursor = _align(cursor, self.array_alignment)
             if cursor + array.size_bytes > self.memory.size:
                 raise SandboxError(
                     f"array {array.name!r} does not fit in memory")
-            self.layout[array.name] = cursor
+            layout[array.name] = cursor
             cursor += array.size_bytes
+        jit = Jit(program, layout)
+        machine_program = jit.compile()
+        self.verifier_states = states
+        self.program = program
+        self.layout = layout
         self.sandbox_end = cursor
-        self.jit = Jit(program, self.layout)
-        self.machine_program = self.jit.compile()
-        return self.machine_program
+        self.jit = jit
+        self.machine_program = machine_program
+        return machine_program
 
     # ------------------------------------------------------------------
     # user-space map access (attacker-controlled data)

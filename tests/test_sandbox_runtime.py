@@ -51,6 +51,26 @@ def test_rejected_program_is_not_laid_out():
     assert runtime.machine_program is None
 
 
+def test_layout_rejection_keeps_the_loaded_program():
+    runtime = make_runtime()
+    loaded = runtime.load_program(simple_program())
+    before = (runtime.program, dict(runtime.layout), runtime.sandbox_end,
+              runtime.jit, runtime.verifier_states)
+    oversized = BpfProgram(arrays=(BpfArray("Z", 8, 4),
+                                   BpfArray("W", 64, 1 << 12)))
+    oversized.exit()
+    with pytest.raises(SandboxError, match="does not fit"):
+        runtime.load_program(oversized)
+    assert runtime.machine_program is loaded
+    assert (runtime.program, runtime.layout, runtime.sandbox_end,
+            runtime.jit, runtime.verifier_states) == before
+    runtime.map_update("Y", 3, 7)
+    runtime.map_update("Z", 1, 42)
+    cpu = runtime.run()
+    from repro.sandbox.jit import machine_reg
+    assert cpu.arch_reg(machine_reg(3)) == 42
+
+
 def test_map_update_and_read_are_bounds_checked():
     runtime = make_runtime()
     runtime.load_program(simple_program())
