@@ -7,7 +7,9 @@ The hardware prefetcher, which has no notion of bounds, dereferences
 the attacker-planted target value and transmits the secret byte over a
 Prime+Probe cache channel.
 
-Run:  python examples/sandbox_prefetcher_leak.py
+Run:  PYTHONPATH=src python examples/sandbox_prefetcher_leak.py
+
+Exits 1 unless every byte of the secret leaks correctly.
 """
 
 from repro.attacks import DMPSandboxAttack, build_attacker_program
@@ -54,7 +56,8 @@ def main():
     print("\nThe verified program never touched the secret; the "
           "prefetcher read it and\nbroadcast it through the cache — "
           "the universal read gadget of Figure 1.")
+    return 0 if correct == len(results) else 1
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())
