@@ -83,7 +83,7 @@ class Cache:
         tag = addr >> self._tag_shift
         if tag not in tags:
             return False
-        if self._lru and tags[-1] != tag:
+        if self._lru:
             tags.remove(tag)
             tags.append(tag)
         return True
