@@ -233,8 +233,8 @@ def apply(hierarchy, op):
         return hierarchy.request_line_for_store(addr)
     if kind == "flush_all":
         return hierarchy.flush_all()
-    cache = hierarchy.l2 if flag and hierarchy.l2 else hierarchy.l1
-    return cache.invalidate(addr)
+    use_l2 = flag and hierarchy.l2 is not None
+    return (hierarchy.l2 if use_l2 else hierarchy.l1).invalidate(addr)
 
 
 CONFIGS = st.tuples(
