@@ -40,8 +40,7 @@ Commands
              prints the learned-vs-declared status table (or the JSON
              report CI archives); exits 1 on any learned-but-
              undeclared clause
-``backends`` list the registered trial-execution backends and their
-             capability flags
+``backends`` list the trial-execution backends (serial, pool)
 ``serve-metrics`` expose the process telemetry registry over HTTP
              (``GET /metrics`` Prometheus text, ``GET /healthz``):
              ``python -m repro serve-metrics [--port N] [--host H]
@@ -57,9 +56,10 @@ Commands
 
 Every command accepts a global ``--backend NAME`` flag (equivalent to
 setting ``REPRO_BACKEND=NAME``) that selects the execution backend —
-``serial``, ``pool``, or ``lockstep`` — for every engine batch the
-command runs.  Results are bitwise identical across backends; only
-scheduling and wall-clock change.
+``serial`` or ``pool`` — for every engine batch the command runs.  An
+unknown name, from the flag or the environment, exits 1.  Results are
+bitwise identical across backends; only scheduling and wall-clock
+change.
 """
 
 import sys
@@ -238,16 +238,13 @@ def cmd_bench(*args):
 
 
 def cmd_backends():
-    """List the registered execution backends and their capabilities."""
+    """List the execution backends and whether they run in parallel."""
     from repro.engine import REPRO_BACKEND_ENV, backend_from_name, \
         backend_names
-    print(f"{'backend':10s} {'parallel':>8s} {'in-process':>10s} "
-          f"{'shared-decode':>13s}")
+    print(f"{'backend':10s} {'parallel':>8s}")
     for name in backend_names():
         backend = backend_from_name(name)
-        print(f"{name:10s} {str(backend.parallel):>8s} "
-              f"{str(backend.in_process):>10s} "
-              f"{str(backend.shares_decode_state):>13s}")
+        print(f"{name:10s} {str(backend.parallel):>8s}")
     print(f"\nselect with --backend NAME or {REPRO_BACKEND_ENV}=NAME "
           "(or per-call: run_batch(..., backend=NAME))")
 
@@ -610,13 +607,14 @@ COMMANDS = {"tables": cmd_tables, "urg": cmd_urg, "fig6": cmd_fig6,
 
 
 def main(argv=None):
+    import os
+    from repro.engine import REPRO_BACKEND_ENV, backend_names
     argv = list(sys.argv[1:] if argv is None else argv)
+    # The global flag routes every engine batch this command runs
+    # through the named execution backend, exactly as REPRO_BACKEND in
+    # the environment does; one check covers both sources.
+    name = os.environ.get(REPRO_BACKEND_ENV) or None
     if "--backend" in argv:
-        # Global flag: route every engine batch this command runs
-        # through the named execution backend (same effect as setting
-        # REPRO_BACKEND in the environment).
-        import os
-        from repro.engine import REPRO_BACKEND_ENV, backend_names
         flag = argv.index("--backend")
         try:
             name = argv[flag + 1]
@@ -624,10 +622,11 @@ def main(argv=None):
             print("usage: python -m repro [command] --backend "
                   + "|".join(backend_names()))
             return 1
+        del argv[flag:flag + 2]
+    if name is not None:
         if name not in backend_names():
             print(f"unknown backend {name!r}; known: {backend_names()}")
             return 1
-        del argv[flag:flag + 2]
         os.environ[REPRO_BACKEND_ENV] = name
     command = argv[0] if argv else "tables"
     if command not in COMMANDS:

@@ -1,4 +1,4 @@
-"""Pluggable trial-execution backends for the engine runner.
+"""Trial-execution backends for the engine runner.
 
 The runner's job is *what* to run — building idempotent
 :class:`TrialJob` descriptors, probing the result cache, depositing
@@ -7,21 +7,12 @@ small :class:`ExecutionBackend` protocol:
 
 * :class:`SerialBackend` — everything in the submitting process, in
   input order.  Debugger- and trace-friendly; the reference scheduling
-  every other backend must match bitwise.
-* :class:`PoolBackend` — today's ``ProcessPoolExecutor`` fan-out,
-  behavior-preserving: an ephemeral pool per submit unless the caller
-  :meth:`~ExecutionBackend.open`\\ s the backend to keep one warm
-  across batches.
-* :class:`LockstepBatchBackend` — runs cohorts of trials of the same
-  program *interleaved in lockstep* in one process: every core in a
-  cohort shares the process-wide decoded-template cache and interned
-  operand keys from the first trial onward, and per-trial setup
-  (process spawn, spec pickling, cold caches) is amortized away.  This
-  is the shape of the lint soundness harness and the channel-capacity
-  bench — N secret-variant trials of one program — and the substrate a
-  future structure-of-arrays batched kernel plugs into.
+  the pool must match bitwise.
+* :class:`PoolBackend` — ``ProcessPoolExecutor`` fan-out: an ephemeral
+  pool per submit unless the caller :meth:`~ExecutionBackend.open`\\ s
+  the backend to keep one warm across batches.
 
-Every backend obeys the same contract: ``submit(jobs)`` returns one
+Both backends obey the same contract: ``submit(jobs)`` returns one
 :class:`ExecutedTrial` per job, in input order, with results **bitwise
 identical** across backends (every randomness source in a spec is
 seeded, and cores never share mutable simulation state).  Scheduling
@@ -29,13 +20,12 @@ telemetry — wall-clock spans, worker ids — lives in the
 :class:`ExecutedTrial` envelope and never inside a
 :class:`~repro.engine.session.RunResult`.
 
-Selection is threaded, in priority order: an explicit ``backend=``
-argument to :func:`repro.engine.runner.run_batch` (name or instance),
-the ``REPRO_BACKEND`` environment variable (the CI lockstep leg, the
-``python -m repro --backend`` flag), a unanimous
-:attr:`~repro.engine.specs.SimSpec.backend` hint on the submitted
-specs, and finally the legacy ``workers`` heuristic (serial for
-``workers <= 1`` or singleton batches, pool otherwise).
+Selection, in priority order: an explicit ``backend=`` argument to
+:func:`repro.engine.runner.run_batch` (name or instance), the
+``REPRO_BACKEND`` environment variable (the ``python -m repro
+--backend`` flag sets it), and finally the ``workers`` heuristic
+(serial for ``workers <= 1`` or at most one pending trial, pool
+otherwise).
 """
 
 import os
@@ -72,9 +62,8 @@ class TrialJob:
     submitting the same job twice (to any backend, in any process)
     yields byte-identical results, which is what lets the runner probe
     the cache once up front and hand only misses to the backend.
-    ``index`` is the job's position in the submitting batch, carried so
-    backends that reorder internally (cohort grouping) can report
-    results against the caller's order.
+    ``index`` is the job's position in the submitting batch, so the
+    runner can deposit each result at the caller's position.
     """
 
     index: int
@@ -86,14 +75,12 @@ class TrialJob:
 class ExecutedTrial:
     """One finished trial plus its scheduling telemetry.
 
-    ``start_us``/``elapsed_us``/``worker`` feed the caller-owned
-    ``batch_stats`` and :class:`repro.trace.BatchTrace` records; they
-    are scheduling-dependent and never enter the
+    ``start_us``/``elapsed_us``/``worker`` feed :mod:`repro.telemetry`
+    and the caller-owned :class:`repro.trace.BatchTrace`; they are
+    scheduling-dependent and never enter the
     :class:`~repro.engine.session.RunResult`.  Untimed submissions
     carry zeros (and ``worker = None`` when the executing process id is
-    unknowable, e.g. an untimed pool map).  For lockstep trials
-    ``elapsed_us`` is the trial's accumulated busy time across its
-    interleaved quanta, not a contiguous wall-clock span.
+    unknowable, e.g. an untimed pool map).
     """
 
     result: object
@@ -126,8 +113,8 @@ def _timed_execute(job):
     Returns ``(result, start_us, elapsed_us, pid)``.  The telemetry
     never enters the :class:`RunResult` — wall time and pids are
     scheduling-dependent, and results must stay bitwise identical
-    across backends; it feeds ``batch_stats`` and the caller-owned
-    :class:`repro.trace.BatchTrace` instead.
+    across backends; it feeds :mod:`repro.telemetry` and the
+    caller-owned :class:`repro.trace.BatchTrace` instead.
     """
     spec, fingerprint = job
     start_us = _now_us()
@@ -176,15 +163,8 @@ def _pool_timed_execute(job):
 class ExecutionBackend:
     """How a batch of cache-missing :class:`TrialJob`\\ s executes.
 
-    Capability flags (class attributes) let callers pick without
-    isinstance checks:
-
-    * ``parallel`` — trials may run concurrently in other processes;
-    * ``in_process`` — trials run inside the submitting process (so
-      in-process state like a debugger, coverage, or the warm template
-      cache is visible to them);
-    * ``shares_decode_state`` — trials of one program share decoded
-      templates/interned keys *within a submit* by construction.
+    ``parallel`` (a class attribute) says whether trials run
+    concurrently in other processes rather than in the submitting one.
 
     Lifecycle: :meth:`open` acquires long-lived resources (a warm
     process pool), :meth:`close` releases them; both are optional and
@@ -196,8 +176,6 @@ class ExecutionBackend:
 
     name = "abstract"
     parallel = False
-    in_process = True
-    shares_decode_state = False
 
     def open(self):
         return self
@@ -222,9 +200,6 @@ class SerialBackend(ExecutionBackend):
     """In-process, in-order execution — the reference scheduling."""
 
     name = "serial"
-    parallel = False
-    in_process = True
-    shares_decode_state = False
 
     def submit(self, jobs, timed=False):
         out = []
@@ -252,8 +227,6 @@ class PoolBackend(ExecutionBackend):
 
     name = "pool"
     parallel = True
-    in_process = False
-    shares_decode_state = False
 
     def __init__(self, workers=DEFAULT_POOL_WORKERS, chunksize=None):
         self.workers = max(2, int(workers))
@@ -307,194 +280,45 @@ class PoolBackend(ExecutionBackend):
             return self._map(pool, jobs, timed)
 
 
-class _Lane(object):
-    """One trial's seat in a lockstep cohort."""
-
-    __slots__ = ("pos", "session", "limit", "start_us", "busy_us",
-                 "result")
-
-    def __init__(self, pos, session, limit, start_us, busy_us):
-        self.pos = pos
-        self.session = session
-        self.limit = limit
-        self.start_us = start_us
-        self.busy_us = busy_us
-        self.result = None
-
-
-class LockstepBatchBackend(ExecutionBackend):
-    """Interleaved in-process cohorts with shared decode state.
-
-    Jobs are grouped by program identity, each group split into cohorts
-    of at most ``cohort`` trials; a cohort's sessions are all built up
-    front and their cores advanced round-robin, ``quantum`` cooperative
-    steps per turn (``cpu.advance`` — one cycle, or one fast-forward
-    jump on the fast-path kernel).  Interleaving is pure scheduling:
-    cores never share mutable simulation state, so results are bitwise
-    identical to serial execution — the process-wide decoded-template
-    cache and operand interning they *do* share are content-keyed and
-    append-only.
-
-    What this buys over :class:`PoolBackend` on the secret-variant
-    workloads (lint soundness, channel capacity, future fuzzing
-    fleets): no process spawn or spec/result pickling per batch, and
-    every trial after the first runs against warm per-program decode
-    state.  A trial that raises (e.g. :class:`SimulationError` at its
-    cycle limit) propagates, as it does from every backend.
-    """
-
-    name = "lockstep"
-    parallel = False
-    in_process = True
-    shares_decode_state = True
-
-    def __init__(self, cohort=16, quantum=64):
-        self.cohort = max(1, int(cohort))
-        self.quantum = max(1, int(quantum))
-
-    def _cohorts(self, jobs):
-        """Positions grouped by program identity, capped at ``cohort``.
-
-        Secret-variant specs share one :class:`Program` object (the
-        soundness harness perturbs only the memory image), so identity
-        grouping puts exactly those trials in one cohort.
-        """
-        groups = {}
-        order = []
-        for pos, job in enumerate(jobs):
-            key = id(job.spec.program)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(pos)
-        for key in order:
-            positions = groups[key]
-            for start in range(0, len(positions), self.cohort):
-                yield positions[start:start + self.cohort]
-
-    def _run_cohort(self, jobs, positions, timed, out):
-        from repro.engine.session import Session
-        lanes = []
-        for pos in positions:
-            job = jobs[pos]
-            start_us = _now_us() if timed else 0
-            session = Session.from_spec(job.spec,
-                                        fingerprint=job.fingerprint)
-            busy_us = (_now_us() - start_us) if timed else 0
-            lanes.append(_Lane(pos, session, session.resolve_limit(),
-                               start_us, busy_us))
-        live = list(lanes)
-        quantum = self.quantum
-        quanta_turns = 0
-        while live:
-            still = []
-            for lane in live:
-                turn_us = _now_us() if timed else 0
-                advance = lane.session.cpu.advance
-                limit = lane.limit
-                running = True
-                for _ in range(quantum):
-                    if not advance(limit):
-                        running = False
-                        break
-                quanta_turns += 1
-                if running:
-                    still.append(lane)
-                else:
-                    lane.result = lane.session.finish()
-                if timed:
-                    lane.busy_us += _now_us() - turn_us
-            live = still
-        pid = os.getpid()
-        for lane in lanes:
-            out[lane.pos] = ExecutedTrial(
-                lane.result, start_us=lane.start_us,
-                elapsed_us=max(1, lane.busy_us) if timed else 0,
-                worker=pid)
-        return quanta_turns
-
-    def submit(self, jobs, timed=False):
-        jobs = list(jobs)
-        out = [None] * len(jobs)
-        cohorts = 0
-        quanta_turns = 0
-        for positions in self._cohorts(jobs):
-            quanta_turns += self._run_cohort(jobs, positions, timed, out)
-            cohorts += 1
-        tel = telemetry.REGISTRY
-        if tel.enabled and cohorts:
-            tel.inc("repro_lockstep_cohorts_total", cohorts,
-                    help="Same-program cohorts the lockstep backend "
-                         "interleaved")
-            tel.inc("repro_lockstep_quanta_total", quanta_turns,
-                    help="Cooperative advance quanta granted across "
-                         "lockstep lanes")
-        return out
-
-
 # ----------------------------------------------------------------------
-# registry and resolution
+# selection
 # ----------------------------------------------------------------------
-
-#: name -> factory(workers, chunksize) for name-based selection.
-_BACKEND_REGISTRY = {
-    "serial": lambda workers, chunksize: SerialBackend(),
-    "pool": lambda workers, chunksize: PoolBackend(
-        workers=workers if workers and workers > 1
-        else DEFAULT_POOL_WORKERS,
-        chunksize=chunksize),
-    "lockstep": lambda workers, chunksize: LockstepBatchBackend(),
-}
-
-
-def register_backend(name, factory):
-    """Register an out-of-tree backend: ``factory(workers, chunksize)``
-    must return an :class:`ExecutionBackend`."""
-    _BACKEND_REGISTRY[name] = factory
-
 
 def backend_names():
-    """Every registered backend name, sorted."""
-    return sorted(_BACKEND_REGISTRY)
+    """Every backend name :func:`backend_from_name` accepts, sorted."""
+    return ["pool", "serial"]
 
 
 def backend_from_name(name, workers=1, chunksize=None):
-    """Instantiate a registered backend by name."""
-    try:
-        factory = _BACKEND_REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown execution backend {name!r}; known: "
-            f"{backend_names()}") from None
-    return factory(workers, chunksize)
+    """Instantiate a backend by name."""
+    if name == "serial":
+        return SerialBackend()
+    if name == "pool":
+        return PoolBackend(
+            workers=workers if workers > 1 else DEFAULT_POOL_WORKERS,
+            chunksize=chunksize)
+    raise ValueError(f"unknown execution backend {name!r}; known: "
+                     f"{backend_names()}")
 
 
-def resolve_backend(backend=None, workers=1, chunksize=None,
-                    pending=None, specs=()):
+def resolve_backend(backend=None, workers=1, chunksize=None, pending=0):
     """The backend a batch should use (see module docstring for the
     priority order).  ``pending`` is the number of cache-missing jobs;
-    the legacy heuristic keeps singleton batches in process exactly as
-    the pre-backend runner did."""
+    the ``workers`` heuristic keeps singleton batches in process."""
     if isinstance(backend, ExecutionBackend):
         return backend
-    name = backend
-    if name is None:
-        name = os.environ.get(REPRO_BACKEND_ENV) or None
-    if name is None:
-        hints = {getattr(spec, "backend", "") for spec in specs}
-        if len(hints) == 1:
-            name = hints.pop() or None
-    if name is None or name == "auto":
-        count = len(specs) if pending is None else pending
-        if workers <= 1 or count <= 1:
-            return SerialBackend()
-        return PoolBackend(workers=workers, chunksize=chunksize)
-    return backend_from_name(name, workers=workers, chunksize=chunksize)
+    name = backend or os.environ.get(REPRO_BACKEND_ENV)
+    if name:
+        return backend_from_name(name, workers=workers,
+                                 chunksize=chunksize)
+    if workers <= 1 or pending <= 1:
+        return SerialBackend()
+    return PoolBackend(workers=workers, chunksize=chunksize)
 
 
 __all__ = [
     "DEFAULT_POOL_WORKERS", "ExecutedTrial", "ExecutionBackend",
-    "LockstepBatchBackend", "PoolBackend", "REPRO_BACKEND_ENV",
-    "SerialBackend", "TrialJob", "backend_from_name", "backend_names",
-    "execute_spec", "register_backend", "resolve_backend",
+    "PoolBackend", "REPRO_BACKEND_ENV", "SerialBackend", "TrialJob",
+    "backend_from_name", "backend_names", "execute_spec",
+    "resolve_backend",
 ]

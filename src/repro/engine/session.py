@@ -136,33 +136,22 @@ class Session:
 
     # -- running -------------------------------------------------------
 
-    def resolve_limit(self, max_cycles=None):
-        """The run's effective cycle limit: explicit argument, then the
-        spec's ``max_cycles``, then the core config's default — the
-        same resolution order :meth:`run` has always used, exposed so
-        execution backends driving cores through ``cpu.advance`` apply
-        the identical limit."""
+    def run(self, max_cycles=None):
+        """Run to completion and package a :class:`RunResult`.
+
+        The cycle limit is ``max_cycles``, else the spec's
+        ``max_cycles``, else the core config's default.
+        """
         if max_cycles is None and self.spec is not None:
             max_cycles = self.spec.max_cycles
         if max_cycles is None:
             max_cycles = self.cpu.config.max_cycles
-        return max_cycles
-
-    def run(self, max_cycles=None):
-        """Run to completion and package a :class:`RunResult`."""
-        limit = self.resolve_limit(max_cycles)
-        while self.cpu.advance(limit):
+        while self.cpu.advance(max_cycles):
             pass
         return self.finish()
 
     def finish(self):
-        """Package the (halted) core's outcome as a :class:`RunResult`.
-
-        Split out of :meth:`run` so execution backends that drive the
-        core themselves (the lockstep backend interleaves many cores
-        through ``cpu.advance``) produce byte-identical results through
-        the same packaging path.
-        """
+        """Package the (halted) core's outcome as a :class:`RunResult`."""
         spec = self.spec
         self.cpu.stats.cycles = self.cpu.cycle
         stats = self.cpu.stats

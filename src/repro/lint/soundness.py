@@ -101,11 +101,8 @@ def check_soundness(spec: SimSpec,
     to skip re-linting.
 
     ``backend`` selects the execution backend
-    (:mod:`repro.engine.backends`).  The variant batch is the lockstep
-    backend's native shape — N secret-perturbed trials of one program
-    — so ``backend="lockstep"`` runs the whole differential in one
-    shared-decode cohort with no per-trial process setup; results are
-    bitwise identical whichever backend runs them.
+    (:mod:`repro.engine.backends`); results are bitwise identical
+    whichever backend runs them.
     """
     tel = telemetry.REGISTRY
     report = report if report is not None else lint_spec(spec)

@@ -61,8 +61,7 @@ Diff
 ``check_synthesis`` mirrors ``soundness.check_soundness`` (one
 plug-in), ``synthesize_all`` sweeps every contracted plug-in, and the
 ``python -m repro synthesize`` CLI renders or archives the report.
-All batches go through :func:`repro.engine.runner.run_batch`; the
-secret-variant cohorts are the lockstep backend's native shape, and
+All batches go through :func:`repro.engine.runner.run_batch`, and
 results — hence learned contracts and witnesses — are bitwise
 identical across backends.
 """
@@ -488,9 +487,9 @@ def check_synthesis(plugin: str, budget: int = DEFAULT_BUDGET,
     """Differential contract synthesis for one plug-in.
 
     Generates ``budget`` cases, runs control + plug-in secret-pair
-    cohorts through the engine in one batch (the lockstep backend's
-    native shape), abstracts every attributable divergence to its
-    static leakage signature, and diffs learned vs declared pairs.
+    cohorts through the engine in one batch, abstracts every
+    attributable divergence to its static leakage signature, and diffs
+    learned vs declared pairs.
     Explained divergences are then re-fuzzed under the descriptor's
     ``"domains"`` ablations to learn minimal ``when`` conditions
     (``learn_when=False`` skips that study).

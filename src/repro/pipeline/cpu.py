@@ -233,13 +233,13 @@ class CPU:
         return self.stats
 
     def advance(self, limit):
-        """One cooperative scheduling quantum; True while still running.
+        """One scheduling step; True while still running.
 
-        The unit the lockstep execution backend interleaves: a core that
-        has halted returns False immediately, one at ``limit`` raises
-        exactly as :meth:`run` would, anything else ticks one cycle.
-        ``run`` is a plain loop over this, so driving a core through
-        ``advance`` is bitwise identical to ``run``.
+        A core that has halted returns False immediately, one at
+        ``limit`` raises :class:`SimulationError`, anything else ticks
+        one cycle.  :meth:`run` and
+        :meth:`repro.engine.session.Session.run` are plain loops over
+        this.
         """
         if self.halted:
             return False

@@ -657,9 +657,9 @@ class FastPathCPU(CPU):
     # ------------------------------------------------------------------
 
     def advance(self, limit):
-        """The cooperative quantum (see :meth:`CPU.advance`), with the
-        quiet-cycle fast-forward folded in so a lockstep driver skips
-        idle spans exactly like :meth:`run` does."""
+        """One scheduling step (see :meth:`CPU.advance`), with the
+        quiet-cycle fast-forward folded in so every driver skips idle
+        spans exactly like :meth:`run` does."""
         if self.halted:
             return False
         if self.cycle >= limit:

@@ -1,8 +1,8 @@
 """Engine-level batch tracing: trial spans, worker tracks, cache hits.
 
-A :class:`BatchTrace` is the wall-clock counterpart of the
-``batch_stats`` record that :func:`repro.engine.runner.run_batch`
-accepts: the caller owns it, passes it into a batch, and gets back
+A :class:`BatchTrace` is the per-batch, event-level counterpart of the
+process-wide :mod:`repro.telemetry` counters: the caller owns it,
+passes it into :func:`repro.engine.runner.run_batch`, and gets back
 *scheduling-dependent* telemetry — when each trial started and
 finished, which worker process ran it, and which specs were satisfied
 from the result cache.  None of this may ever enter a

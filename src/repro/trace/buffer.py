@@ -25,8 +25,8 @@ Everything recorded here is derived from simulated state only (cycle
 numbers, addresses, sequence numbers), so a trace payload is bitwise
 deterministic across serial and pooled execution — the same contract
 as :class:`~repro.stats.SimStats`.  Wall-clock engine telemetry lives
-in :class:`~repro.trace.batch.BatchTrace` instead, mirroring the
-``batch_stats`` split.
+in :class:`~repro.trace.batch.BatchTrace` and :mod:`repro.telemetry`
+instead.
 
 Disabled mode: :data:`NULL_TRACE` (a :class:`NullTraceBuffer`) accepts
 every ``emit`` as a no-op; hot paths additionally guard on

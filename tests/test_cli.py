@@ -39,22 +39,36 @@ def test_command_registry_complete():
 def test_backends_command(capsys):
     assert main(["backends"]) == 0
     out = capsys.readouterr().out
-    for name in ("serial", "pool", "lockstep", "REPRO_BACKEND"):
+    for name in ("serial", "pool", "REPRO_BACKEND"):
         assert name in out
+    rows = [line.split()[0] for line in out.splitlines()[1:3]]
+    assert rows == ["pool", "serial"]
+    assert "lockstep" not in out
 
 
 def test_global_backend_flag(capsys, monkeypatch):
     import os
     from repro.engine import REPRO_BACKEND_ENV
     monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
-    assert main(["backends", "--backend", "lockstep"]) == 0
-    assert os.environ.get(REPRO_BACKEND_ENV) == "lockstep"
+    assert main(["backends", "--backend", "pool"]) == 0
+    assert os.environ.get(REPRO_BACKEND_ENV) == "pool"
     # Drop the value main() just exported directly — a second
-    # monkeypatch.delenv would record "lockstep" as the state to
+    # monkeypatch.delenv would record "pool" as the state to
     # restore and re-export it at teardown, polluting later tests.
     os.environ.pop(REPRO_BACKEND_ENV, None)
-    assert main(["backends", "--backend", "warp-drive"]) == 1
-    assert "unknown backend" in capsys.readouterr().out
+    capsys.readouterr()
+    known = "known: ['pool', 'serial']"
+    for name in ("warp-drive", "lockstep"):
+        assert main(["backends", "--backend", name]) == 1
+        out = capsys.readouterr().out
+        assert f"unknown backend {name!r}" in out and known in out
+        assert REPRO_BACKEND_ENV not in os.environ
+    # The environment variable goes through the same check, so a bad
+    # value is a message and exit 1, not a traceback from run_batch.
+    monkeypatch.setenv(REPRO_BACKEND_ENV, "lockstep")
+    assert main(["fig6"]) == 1
+    out = capsys.readouterr().out
+    assert "unknown backend 'lockstep'" in out and known in out
 
 
 def test_bench_command(tmp_path, capsys):

@@ -197,6 +197,12 @@ def test_spec_json_roundtrip_preserves_fingerprint(spec):
     assert rebuilt.fingerprint() == spec.fingerprint()
     # The canonical JSON itself is a fixed point of the round trip.
     assert json.loads(rebuilt.to_json()) == json.loads(text)
+    # JSON persisted with the retired "backend" scheduling hint (old
+    # synthesis witness specs) still loads to the same spec.
+    legacy = SimSpec.from_json_dict({**json.loads(text),
+                                     "backend": "lockstep"})
+    assert legacy.fingerprint() == spec.fingerprint()
+    assert legacy.to_json() == rebuilt.to_json()
     # Presentation fields survive too (they are outside the hash).
     assert rebuilt.label == spec.label
     assert rebuilt.collect_stats == spec.collect_stats

@@ -1,9 +1,9 @@
 """Integration tests: repro.stats threaded through the whole stack.
 
 Covers the observability tentpole end to end — pipeline and memory
-instrumentation consistency, plug-in counters, engine aggregation and
-batch telemetry, the Figure 5 head-of-line attribution, disabled-mode
-behaviour, result-cache persistence of metrics, and the ``stats`` CLI.
+instrumentation consistency, plug-in counters, engine aggregation, the
+Figure 5 head-of-line attribution, disabled-mode behaviour,
+result-cache persistence of metrics, and the ``stats`` CLI.
 """
 
 import json
@@ -145,32 +145,6 @@ def test_merged_worker_stats_equal_serial_stats():
     pooled = run_batch(specs, workers=3)
     assert merge_all(r.metrics for r in serial) == \
         merge_all(r.metrics for r in pooled)
-
-
-def test_batch_stats_telemetry(tmp_path):
-    cache = ResultCache(path=str(tmp_path / "cache"))
-    specs = [amp_spec(False).replace(seed=trial) for trial in range(3)]
-    batch_stats = SimStats()
-    run_batch(specs, cache=cache, batch_stats=batch_stats)
-    assert batch_stats.counters["engine.trials_executed"] == 3
-    assert batch_stats.counters["engine.cache_misses"] == 3
-    assert "engine.cache_hits" not in batch_stats.counters
-    assert batch_stats.histograms["engine.trial_wall_us"].count == 3
-    assert batch_stats.maxima["engine.workers_used"] == 1
-
-    run_batch(specs, cache=cache, batch_stats=batch_stats)
-    assert batch_stats.counters["engine.cache_hits"] == 3
-    assert batch_stats.counters["engine.trials_executed"] == 3
-    assert batch_stats.counters["engine.batches"] == 2
-
-
-def test_batch_stats_never_leak_into_results():
-    spec = amp_spec(False)
-    with_stats = run_batch([spec], batch_stats=SimStats())[0]
-    without = run_batch([spec])[0]
-    assert with_stats.to_json() == without.to_json()
-    assert "engine.trial_wall_us" not in with_stats.metrics.get(
-        "histograms", {})
 
 
 # ----------------------------------------------------------------------

@@ -6,14 +6,15 @@ Pins the pieces :mod:`repro.lint.synthesize` is assembled from — the
 (:func:`tainted_tap_pairs`), control-cohort filtering, witness
 minimization — and the cross-backend determinism contract: the same
 seed and budget must produce bitwise-identical learned contracts and
-witnesses whether the fleet executes serially or in lockstep cohorts.
+witnesses whether the fleet executes serially or across a process
+pool.
 """
 
 import random
 
 import pytest
 
-from repro.engine import PluginSpec, run_batch
+from repro.engine import PluginSpec, PoolBackend, run_batch
 from repro.isa.assembler import Assembler
 from repro.isa.opcodes import Op
 from repro.lint import (
@@ -212,9 +213,10 @@ def test_minimize_witness_deletes_junk_and_keeps_halt():
 def test_learned_contracts_identical_across_backends(plugin):
     serial = check_synthesis(plugin, budget=4, seed=1,
                              backend="serial")
-    lockstep = check_synthesis(plugin, budget=4, seed=1,
-                               backend="lockstep")
-    assert serial.to_json_dict() == lockstep.to_json_dict()
+    with PoolBackend(workers=2) as pool:
+        pooled = check_synthesis(plugin, budget=4, seed=1,
+                                 backend=pool)
+    assert serial.to_json_dict() == pooled.to_json_dict()
     assert serial.ok and not serial.vacuous
 
 
