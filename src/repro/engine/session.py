@@ -73,6 +73,9 @@ class Session:
         self.cpu = cpu
         self.spec = spec
         self._fingerprint = fingerprint
+        # A persistent hierarchy outlives its sessions; each finish
+        # reports only the evictions since this session was built.
+        self._evictions_at_build = cpu.hierarchy.evictions()
 
     # -- construction --------------------------------------------------
 
@@ -153,7 +156,6 @@ class Session:
     def finish(self):
         """Package the (halted) core's outcome as a :class:`RunResult`."""
         spec = self.spec
-        self.cpu.stats.cycles = self.cpu.cycle
         stats = self.cpu.stats
         observations = {
             "hierarchy": dict(self.hierarchy.stats),
@@ -169,7 +171,8 @@ class Session:
         metrics = self.cpu.metrics
         if metrics.enabled:
             metrics.inc("engine.trials")
-            self.hierarchy.snapshot_into(metrics)
+            self.hierarchy.snapshot_into(metrics,
+                                         since=self._evictions_at_build)
         # The trace payload rides along only when the *spec* asked for
         # it: a plug-in-installed buffer (e.g. pipeline-tracer) is not
         # part of the fingerprint, so it must not change the result.

@@ -39,7 +39,8 @@ from repro.lint.perturb import (
 
 __all__ = [
     "DEFAULT_PATTERNS", "SoundnessResult", "check_soundness",
-    "divergent_plugins", "secret_regions_of", "secret_variants",
+    "control_diverged", "divergent_plugins", "secret_regions_of",
+    "secret_variants",
 ]
 
 
@@ -63,6 +64,15 @@ def divergent_plugins(result_a: RunResult, result_b: RunResult,
     if result_a.cycles != result_b.cycles:
         divergent |= {name for name in names}
     return divergent
+
+
+def control_diverged(results: Sequence[RunResult]) -> bool:
+    """Whether a *plug-in-free* control cohort diverged: any secret
+    variant's cycles or observations differ from the first run's."""
+    first = results[0]
+    return any(first.cycles != result.cycles
+               or first.observations != result.observations
+               for result in results[1:])
 
 
 @dataclass

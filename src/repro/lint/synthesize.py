@@ -81,7 +81,7 @@ from repro.lint.contracts import ContractRow, LintError, WhenCandidate, \
     display_value, row_pairs, when_candidates, when_holds
 from repro.lint.perturb import DEFAULT_PATTERNS, secret_variants
 from repro.lint.progen import CaseGenerator, GeneratedCase
-from repro.lint.soundness import divergent_plugins
+from repro.lint.soundness import control_diverged, divergent_plugins
 from repro.pipeline.cpu import SimulationError
 
 #: Cases generated per plug-in when no budget is given — enough for
@@ -90,12 +90,6 @@ DEFAULT_BUDGET = 10
 
 #: A batch runner: specs in, results in the same order out.
 Runner = Callable[[Sequence[SimSpec]], Sequence]
-
-
-def _control_diverged(baseline: object, result: object) -> bool:
-    """Secret-visible divergence of the *plug-in-free* machine."""
-    return baseline.cycles != result.cycles \
-        or baseline.observations != result.observations
 
 
 def _plugin_diverged(baseline: object, results: Iterable,
@@ -281,8 +275,7 @@ def _reproduces(case: GeneratedCase, plugin_spec: PluginSpec,
         return False
     control_res = results[:len(control)]
     cohort_res = results[len(control):]
-    if any(_control_diverged(control_res[0], result)
-           for result in control_res[1:]):
+    if control_diverged(control_res):
         return False
     return _plugin_diverged(cohort_res[0], cohort_res[1:],
                             plugin_spec.name)
@@ -542,8 +535,7 @@ def check_synthesis(plugin: str, budget: int = DEFAULT_BUDGET,
         cursor += len(control)
         cohort_res = results[cursor:cursor + len(cohort)]
         cursor += len(cohort)
-        baseline_div = any(_control_diverged(control_res[0], result)
-                           for result in control_res[1:])
+        baseline_div = control_diverged(control_res)
         divergent = _plugin_diverged(cohort_res[0], cohort_res[1:],
                                      plugin)
         spec = cohort[0]

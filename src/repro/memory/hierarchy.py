@@ -268,23 +268,29 @@ class MemoryHierarchy:
 
     # -- utilities --------------------------------------------------------------
 
-    def snapshot_into(self, metrics=None):
+    def evictions(self):
+        """Eviction totals per level, keyed by ``repro.stats`` name."""
+        levels = (("l1", self.l1), ("l2", self.l2), ("tlb", self.tlb))
+        return {f"mem.{name}.evictions": level.stats["evictions"]
+                for name, level in levels if level is not None}
+
+    def snapshot_into(self, metrics=None, since=None):
         """Copy end-of-run structure counters into a stats record.
 
-        Eviction/fill totals live inside the per-level :class:`Cache`
+        Eviction totals live inside the per-level :class:`Cache`
         (and :class:`TLB`) objects; snapshotting them once at the end
         of a run keeps the per-access hot path free of extra writes.
-        Counters sum under merge, so per-trial snapshots aggregate
-        correctly across a batch.
+        Only evictions after ``since`` (an earlier :meth:`evictions`)
+        are added, so runs on one persistent hierarchy count each
+        once.  Counters sum under merge, so per-trial snapshots
+        aggregate correctly across a batch.
         """
         metrics = metrics if metrics is not None else self.metrics
         if not metrics.enabled:
             return metrics
-        metrics.inc("mem.l1.evictions", self.l1.stats["evictions"])
-        if self.l2 is not None:
-            metrics.inc("mem.l2.evictions", self.l2.stats["evictions"])
-        if self.tlb is not None:
-            metrics.inc("mem.tlb.evictions", self.tlb.stats["evictions"])
+        since = since or {}
+        for name, total in self.evictions().items():
+            metrics.inc(name, total - since.get(name, 0))
         return metrics
 
     def flush_all(self):

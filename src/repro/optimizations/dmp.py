@@ -84,6 +84,9 @@ class IndirectMemoryPrefetcher(OptimizationPlugin):
     #: loads), so an empty job queue imposes no constraint.
     ff_policy = FF_WAKEUP
 
+    metric_views = {"jobs_launched": "opt.imp.jobs_launched",
+                    "prefetches": "opt.imp.prefetches"}
+
     def ff_next_cycle(self):
         if not self._jobs:
             return None
@@ -282,7 +285,6 @@ class IndirectMemoryPrefetcher(OptimizationPlugin):
             ready_cycle=self.cpu.cycle + self.stage_latency)
         self._jobs.append(job)
         self.stats["jobs_launched"] += 1
-        self.metrics.inc("opt.imp.jobs_launched")
 
     def end_of_cycle(self, free_load_ports):
         if not self._jobs:
@@ -320,7 +322,6 @@ class IndirectMemoryPrefetcher(OptimizationPlugin):
     def _prefetch(self, job, addr):
         self.cpu.hierarchy.prefetch(addr)
         self.stats["prefetches"] += 1
-        self.metrics.inc("opt.imp.prefetches")
         self.prefetch_log.append((self.cpu.cycle, addr))
         if self.trace.enabled:
             self.trace.emit("opt", self.name, addr=addr,

@@ -57,6 +57,15 @@ class SilentStorePlugin(OptimizationPlugin):
     #: pending list every remaining hook is event-driven.
     ff_policy = FF_WAKEUP
 
+    #: A detected-silent store's write is *squashed* (paper's term).
+    metric_views = {
+        "ss_loads_issued": "opt.silent_stores.ss_loads_issued",
+        "case_a_silent": "opt.silent_stores.squashes",
+        "case_b_nonsilent": "opt.silent_stores.nonsilent",
+        "case_c_no_port": "opt.silent_stores.no_port",
+        "case_d_late": "opt.silent_stores.late_ss_loads",
+    }
+
     def ff_next_cycle(self):
         return self.cpu.cycle + 1 if self._pending else None
 
@@ -97,7 +106,6 @@ class SilentStorePlugin(OptimizationPlugin):
             elif self.cpu.cycle - resolved_cycle >= self.retry_cycles:
                 entry.silent = SilentState.NO_CANDIDATE
                 self.stats["case_c_no_port"] += 1
-                self.metrics.inc("opt.silent_stores.no_port")
                 if self.trace.enabled:
                     self.trace.emit("opt", self.name,
                                     seq=entry.dyn.seq, pc=entry.dyn.pc,
@@ -112,7 +120,6 @@ class SilentStorePlugin(OptimizationPlugin):
     def _issue_ss_load(self, entry):
         entry.ss_load_issued = True
         self.stats["ss_loads_issued"] += 1
-        self.metrics.inc("opt.silent_stores.ss_loads_issued")
         if self.trace.enabled:
             self.trace.emit("sq", "ss_load_issued", seq=entry.dyn.seq,
                             pc=entry.dyn.pc, addr=entry.addr)
@@ -141,21 +148,15 @@ class SilentStorePlugin(OptimizationPlugin):
                             pc=entry.dyn.pc, addr=entry.addr)
 
     def on_store_performed(self, entry):
-        metrics = self.metrics
         outcome = None
         if entry.silent is SilentState.SILENT:
             self.stats["case_a_silent"] += 1
-            # The paper's term for a detected-silent store: the write
-            # itself is squashed (dequeues without touching memory).
-            metrics.inc("opt.silent_stores.squashes")
             outcome = "case_a_silent"
         elif entry.silent is SilentState.NONSILENT:
             self.stats["case_b_nonsilent"] += 1
-            metrics.inc("opt.silent_stores.nonsilent")
             outcome = "case_b_nonsilent"
         elif entry.ss_load_issued and not entry.ss_load_returned:
             self.stats["case_d_late"] += 1
-            metrics.inc("opt.silent_stores.late_ss_loads")
             outcome = "case_d_late"
         if outcome is not None and self.trace.enabled:
             self.trace.emit("opt", self.name, seq=entry.dyn.seq,

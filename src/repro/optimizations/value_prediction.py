@@ -35,6 +35,10 @@ class ValuePredictionPlugin(OptimizationPlugin):
     #: Predicts at dispatch, verifies at writeback — pure.
     ff_policy = FF_PURE
 
+    metric_views = {"predictions": "opt.vp.predictions",
+                    "correct": "opt.vp.correct",
+                    "incorrect": "opt.vp.mispredict_squashes"}
+
     PREDICTORS = ("last_value", "stride")
 
     #: Static leakage contract (:mod:`repro.lint.contracts`): correct
@@ -90,7 +94,6 @@ class ValuePredictionPlugin(OptimizationPlugin):
         self.cpu.prf_value[dyn.pdst] = prediction
         self.cpu.prf_ready[dyn.pdst] = True
         self.stats["predictions"] += 1
-        self.metrics.inc("opt.vp.predictions")
         if self.trace.enabled:
             self.trace.emit("opt", self.name, seq=dyn.seq, pc=dyn.pc,
                             info="predict")
@@ -121,13 +124,11 @@ class ValuePredictionPlugin(OptimizationPlugin):
         if dyn.vp_predicted:
             if value == dyn.vp_value:
                 self.stats["correct"] += 1
-                self.metrics.inc("opt.vp.correct")
                 outcome = "correct"
             else:
                 # The mismatch squashes everything younger (the
                 # receiver-visible penalty the VP attack times).
                 self.stats["incorrect"] += 1
-                self.metrics.inc("opt.vp.mispredict_squashes")
                 outcome = "mispredict_squash"
             if self.trace.enabled:
                 self.trace.emit("opt", self.name, seq=dyn.seq,

@@ -229,7 +229,6 @@ class CPU:
         limit = max_cycles if max_cycles is not None else self.config.max_cycles
         while self.advance(limit):
             pass
-        self.stats.cycles = self.cycle
         return self.stats
 
     def advance(self, limit):
@@ -260,7 +259,6 @@ class CPU:
         self._apply_squash()
         self._commit()
         if self.halted:
-            self.stats.cycles = self.cycle
             return
         self._lsq_step()
         self._issue()
@@ -272,8 +270,34 @@ class CPU:
                 and (self.fetching_halted or self.fetch_pc >= len(self.program))
                 and not self.fetch_buffer):
             if not any(self._events.values()):
-                self.halted = True
-                self.stats.cycles = self.cycle
+                self._halt()
+
+    def _halt(self):
+        """Stop the core; fold this run's ``CPUStats`` and plug-in
+        ``stats`` counts into ``metrics`` once.  A zero count stays
+        absent, except ``squashed_instructions`` once a flush exists."""
+        self.halted = True
+        stats = self.stats
+        stats.cycles = self.cycle
+        metrics = self.metrics
+        if not metrics.enabled:
+            return
+        metrics.inc("pipeline.cycles", stats.cycles)
+        if stats.silent_stores:
+            metrics.inc("pipeline.sq.silent_dequeues", stats.silent_stores)
+        if "pipeline.flushes" in metrics.counters:
+            metrics.inc("pipeline.squashed_instructions",
+                        stats.squashed_instructions)
+        for kind, count in stats.dispatch_stalls.items():
+            if count:
+                metrics.inc("pipeline.dispatch_stall." + kind, count)
+        for plugin in self.plugins:
+            folded = plugin.view_base
+            for key, name in plugin.metric_views.items():
+                count = plugin.stats[key] - folded[key]
+                if count:
+                    metrics.inc(name, count)
+                    folded[key] += count
 
     def _record_cycle_metrics(self):
         """Per-cycle structure occupancy (enabled-mode only).
@@ -288,7 +312,6 @@ class CPU:
         rs = len(self.rs)
         lq = len(self.load_queue)
         sq = len(self.store_queue)
-        metrics.inc("pipeline.cycles")
         metrics.inc("pipeline.rob.occupancy_integral", rob)
         metrics.inc("pipeline.rs.occupancy_integral", rs)
         metrics.inc("pipeline.lq.occupancy_integral", lq)
@@ -315,7 +338,6 @@ class CPU:
         if trace_on:
             self.trace.emit("inst", "flush", cycle=self.cycle,
                             info=f"redirect={redirect}")
-        squashed_before = self.stats.squashed_instructions
         while self.rob and self.rob[-1].seq > seq:
             dyn = self.rob.pop()
             dyn.squashed = True
@@ -326,10 +348,6 @@ class CPU:
             if dyn.pdst is not None:
                 self.rename_map[dyn.inst.rd] = dyn.old_pdst
                 self._free_preg(dyn.pdst)
-        if self.metrics.enabled:
-            self.metrics.inc("pipeline.squashed_instructions",
-                             self.stats.squashed_instructions
-                             - squashed_before)
         self.rs = [d for d in self.rs if not d.squashed]
         self.load_queue = [e for e in self.load_queue if not e.dyn.squashed]
         self.store_queue = [e for e in self.store_queue
@@ -388,7 +406,7 @@ class CPU:
                                     dyn, entry.addr, dyn.result)
                         break
             if op is Op.HALT:
-                self.halted = True
+                self._halt()
                 return
 
     # ------------------------------------------------------------------
@@ -437,8 +455,6 @@ class CPU:
                 head.performed = True
                 head.dequeue_cycle = self.cycle
                 self.stats.silent_stores += 1
-                if metrics_on:
-                    self.metrics.inc("pipeline.sq.silent_dequeues")
                 if trace_on:
                     self.trace.emit("sq", "silent_dequeue",
                                     cycle=self.cycle, seq=head.dyn.seq,
@@ -794,8 +810,6 @@ class CPU:
 
     def _dispatch_stall(self, kind):
         self.stats.dispatch_stalls[kind] += 1
-        if self.metrics.enabled:
-            self.metrics.inc("pipeline.dispatch_stall." + kind)
 
     def _dispatch(self):
         cfg = self.config

@@ -67,13 +67,13 @@ list and the reservation-station list in place.
 **Cheap executed cycles.**  Fetch classifies each instruction
 (HALT / JMP / conditional branch / other) from its template.  The
 per-cycle occupancy samples the reference writes into ``metrics``
-(four occupancy integrals plus ``pipeline.cycles``, four high-water
-marks, ``pipeline.sq.head_committed_cycles``) accumulate in plain
-ints — a fast-forward adds span x occupancy — and are folded into
-``metrics`` once, when the core halts.  Every reader of those metrics
-runs after the run, and :meth:`SimStats.as_dict` sorts its keys, so
-the folded record is identical.  Plug-in hooks are dispatched per hook
-to the plug-ins that override them (shared with the reference core).
+(four occupancy integrals, four high-water marks,
+``pipeline.sq.head_committed_cycles``) accumulate in plain ints — a
+fast-forward adds span x occupancy — and join the halt-time fold of
+:meth:`CPU._halt`.  Every reader of those metrics runs after the run,
+and :meth:`SimStats.as_dict` sorts its keys, so the folded record is
+identical.  Plug-in hooks are dispatched per hook to the plug-ins that
+override them (shared with the reference core).
 
 The speedup telemetry (:class:`FastPathStats`, exposed as
 ``cpu.fastpath``) deliberately stays **out** of the run's stats,
@@ -198,7 +198,6 @@ class FastPathCPU(CPU):
         self._unit_wake = None  # earliest busy mul/div unit release
         self._quiet = False
         # Occupancy accounting, folded into ``metrics`` at halt.
-        self._occ_cycles = 0
         self._occ_rob = self._occ_rs = self._occ_lq = self._occ_sq = 0
         self._hw_rob = self._hw_rs = self._hw_lq = self._hw_sq = 0
         self._occ_head_committed = 0
@@ -566,7 +565,6 @@ class FastPathCPU(CPU):
             rs = len(self.rs)
             lq = len(self.load_queue)
             sq = len(store_queue)
-            self._occ_cycles += 1
             self._occ_rob += rob
             self._occ_rs += rs
             self._occ_lq += lq
@@ -591,9 +589,6 @@ class FastPathCPU(CPU):
             self._apply_squash()
         self._commit()
         if self.halted:
-            stats.cycles = cycle
-            self._fold_occupancy()
-            self._quiet = False
             return
         if self.store_queue:
             self._lsq_step()
@@ -610,10 +605,7 @@ class FastPathCPU(CPU):
                 and (self.fetching_halted
                      or self.fetch_pc >= len(self._instructions))):
             if not any(self._events.values()):
-                self.halted = True
-                stats.cycles = cycle
-                self._fold_occupancy()
-                self._quiet = False
+                self._halt()
                 return
         self._quiet = (
             before is not None and not self._issue_blocked
@@ -624,18 +616,13 @@ class FastPathCPU(CPU):
                            len(self.fetch_buffer), self.fetch_pc,
                            self.fetching_halted, self.hierarchy.epoch))
 
-    def _fold_occupancy(self):
-        """Fold the accumulated occupancy samples into ``metrics``.
-
-        Called once, when the core halts; the result equals the
-        reference's per-cycle :meth:`CPU._record_cycle_metrics` calls.
-        """
-        cycles = self._occ_cycles
-        if not cycles:
-            return
+    def _halt(self):
+        """:meth:`CPU._halt`, plus the occupancy samples the reference
+        records per cycle in :meth:`CPU._record_cycle_metrics`."""
+        super()._halt()
+        self._quiet = False
         metrics = self.metrics
         if metrics.enabled:
-            metrics.inc("pipeline.cycles", cycles)
             metrics.inc("pipeline.rob.occupancy_integral", self._occ_rob)
             metrics.inc("pipeline.rs.occupancy_integral", self._occ_rs)
             metrics.inc("pipeline.lq.occupancy_integral", self._occ_lq)
@@ -647,10 +634,6 @@ class FastPathCPU(CPU):
             if self._occ_head_committed:
                 metrics.inc("pipeline.sq.head_committed_cycles",
                             self._occ_head_committed)
-        self._occ_cycles = 0
-        self._occ_rob = self._occ_rs = self._occ_lq = self._occ_sq = 0
-        self._hw_rob = self._hw_rs = self._hw_lq = self._hw_sq = 0
-        self._occ_head_committed = 0
 
     # ------------------------------------------------------------------
     # fast-forward
@@ -727,7 +710,6 @@ class FastPathCPU(CPU):
         if metrics.enabled:
             # High-water marks were already sampled this cycle at the
             # same occupancies; the span cannot raise them.
-            self._occ_cycles += skipped
             self._occ_rob += len(self.rob) * skipped
             self._occ_rs += len(self.rs) * skipped
             self._occ_lq += len(self.load_queue) * skipped
@@ -736,9 +718,6 @@ class FastPathCPU(CPU):
                 self._occ_head_committed += skipped
             if hol_stall:
                 metrics.inc("pipeline.sq.head_of_line_stall_cycles",
-                            skipped)
-            if stall_kind is not None:
-                metrics.inc("pipeline.dispatch_stall." + stall_kind,
                             skipped)
         if hol_stall and self.trace.enabled:
             dyn = head.dyn

@@ -116,6 +116,12 @@ class OptimizationPlugin:
     #: is the conservative one: unknown plug-ins disable fast-forward.
     ff_policy = FF_EVERY_CYCLE
 
+    #: ``stats`` key -> ``repro.stats`` counter.  A halting core
+    #: (``CPU._halt``) folds the counts not yet folded since
+    #: :meth:`attach` (``view_base``), so a plug-in reused across runs
+    #: or shared by SMT threads counts each event once.
+    metric_views = {}
+
     def __init__(self):
         self.cpu = None
 
@@ -131,13 +137,7 @@ class OptimizationPlugin:
     def attach(self, cpu):
         """Called once when the plug-in is registered with a core."""
         self.cpu = cpu
-
-    @property
-    def metrics(self):
-        """The attached core's stats record (disabled when detached)."""
-        from repro.stats import NULL_STATS
-        cpu = self.cpu
-        return cpu.metrics if cpu is not None else NULL_STATS
+        self.view_base = {key: self.stats[key] for key in self.metric_views}
 
     @property
     def trace(self):

@@ -137,7 +137,7 @@ class PipelineTracer(OptimizationPlugin):
             elif category == "sq":
                 self._fold_store_event(record, name, cycle, info)
         if overflow:
-            self.metrics.peak("trace.tracer.records_dropped",
+            self.cpu.metrics.peak("trace.tracer.records_dropped",
                               len(overflow))
         return records
 

@@ -3,17 +3,21 @@
 Every distributional claim in the paper — the Figure 4/5 timing
 deltas, the Figure 6 bsAES histogram, replay-trial convergence — is a
 statement about *why* a run took the cycles it did.  :class:`SimStats`
-is the one record the whole simulator writes into: the pipeline logs
+is the one record the whole simulator reports into: the pipeline logs
 per-stage occupancy and store-queue head-of-line stalls, the memory
-hierarchy logs per-level hits/misses and miss-latency histograms, the
-optimization plug-ins log their squash/prefetch/prediction outcomes,
-and the engine logs trial bookkeeping.
+hierarchy logs per-level hits/misses and miss-latency histograms, and
+the engine logs trial bookkeeping.
+
+Each simulated event is recorded once: counts the core already keeps
+in :class:`~repro.pipeline.cpu.CPUStats` or a plug-in's ``stats``
+(cycles, dispatch stalls, silent-store cases, ...) are folded in when
+the core halts (``CPU._halt``), never written here per event.
 
 Three value kinds with fixed merge semantics:
 
 * **counters** — monotone event counts; merge by summing.
-* **maxima** — high-water marks (peak ROB occupancy, workers seen);
-  merge by taking the maximum.
+* **maxima** — high-water marks (peak ROB occupancy); merge by
+  taking the maximum.
 * **histograms** — value distributions (:class:`Histogram`) with a
   per-name bin width; merge by summing per-bin counts.
 

@@ -6,6 +6,7 @@ Figure 5 head-of-line attribution, disabled-mode behaviour,
 result-cache persistence of metrics, and the ``stats`` CLI.
 """
 
+import dataclasses
 import json
 import os
 
@@ -15,6 +16,7 @@ from repro.engine import (
     ResultCache, RunResult, Session, SimStats, execute_spec, merge_all,
     run_batch,
 )
+from repro.engine.specs import CacheSpec
 from tests.spec_catalog import attack_specs
 
 
@@ -131,6 +133,22 @@ def test_from_parts_session_accepts_metrics():
     result = session.run()
     assert result.metrics["counters"]["pipeline.cycles"] == result.cycles
     assert metrics.counters["engine.trials"] == 1
+
+
+def test_evictions_count_once_across_sessions_on_one_hierarchy():
+    # A persistent hierarchy outlives its sessions: each finish adds
+    # only the evictions since its own session was built.
+    spec = amp_spec(False)
+    small_l1 = dataclasses.replace(spec.hierarchy,
+                                   l1=CacheSpec(num_sets=4, ways=2))
+    hierarchy = small_l1.build(memory=spec.build_memory())
+    metrics = SimStats()
+    for _ in range(2):
+        Session.from_parts(spec.program, hierarchy, metrics=metrics).run()
+    assert metrics.counters["engine.trials"] == 2
+    assert hierarchy.l1.stats["evictions"] > 0
+    assert metrics.counters["mem.l1.evictions"] == \
+        hierarchy.l1.stats["evictions"]
 
 
 # ----------------------------------------------------------------------
